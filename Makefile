@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-parallel bench bench-all eval serve fleet-smoke chaos-smoke saturation-sweep heatmap design cover clean
+.PHONY: all build vet test perfbench-test race race-parallel bench bench-all eval serve fleet-smoke chaos-smoke saturation-sweep heatmap design cover clean
 
 all: build vet test
 
@@ -14,6 +14,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The repository benchmark's own tests (a separate module, so `go test ./...`
+# skips them): metric tables, profile attribution, and the model outputs of
+# every workload against the committed goldens — the check that catches an
+# arbitration-order change in the NoC. About ten seconds.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Race-detector pass (the evaluation server's worker pool in particular).
 race:

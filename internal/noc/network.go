@@ -68,8 +68,6 @@ type Network struct {
 	// classVCList is the precomputed per-class downstream-VC preference
 	// order (see initClassVCs).
 	classVCList [NumClasses][]int
-	// allocStride is the owner-token stride: the per-port VC count.
-	allocStride int
 
 	Stats Stats
 
@@ -113,7 +111,7 @@ func New(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{Cfg: cfg, ejectCap: 2, allocStride: cfg.VCsPerPort}
+	n := &Network{Cfg: cfg, ejectCap: 2}
 	n.Stats.init()
 	n.initClassVCs()
 
@@ -133,7 +131,7 @@ func New(cfg Config) (*Network, error) {
 			// boundary — the paper notes boundary routers reuse the same
 			// template — but boundary direction ports are never routed to).
 			for p := 0; p < int(geom.NumDirections); p++ {
-				r.in = append(r.in, n.newInputPort())
+				n.addInputPort(r)
 				r.out = append(r.out, n.newOutputPort())
 			}
 			r.out[PortLocal].eject = true
@@ -212,8 +210,12 @@ func New(cfg Config) (*Network, error) {
 	// Finalize per-router scratch now that every port (MultiPort ejection,
 	// EIR and spoke injection) exists.
 	for _, r := range n.Routers {
-		r.saReqs = make([]saReq, 0, len(r.in))
-		r.grant = make([]int32, len(r.out))
+		if len(r.vcs) > maxMaskBits || len(r.out) > maxMaskBits {
+			return nil, fmt.Errorf("noc: router %v has %d input ports × %d VCs = %d input VCs and %d output ports; the allocator masks hold at most %d of each",
+				r.pos, len(r.in), cfg.VCsPerPort, len(r.vcs), len(r.out), maxMaskBits)
+		}
+		r.saNom = make([]int32, len(r.in))
+		r.saOut = make([]uint64, len(r.out))
 		r.candBuf = make([]routeCand, 0, len(r.out)*cfg.VCsPerPort)
 		r.vcOrdBuf = make([]int, 0, cfg.VCsPerPort)
 		r.dirBuf = make([]geom.Direction, 0, 2)
@@ -649,7 +651,7 @@ func (ni *standardNI) backlog(per []int64) {
 func injectVC(n *Network, ip *inputPort, cls Class) int {
 	best, bestFree := noAlloc, 0
 	for _, vc := range n.classVCs(cls) {
-		vb := ip.vcs[vc]
+		vb := &ip.vcs[vc]
 		if n.Cfg.VCPolicy != VCPrivate && vc != int(cls) && !vb.empty() {
 			continue
 		}
@@ -704,11 +706,11 @@ func (ni *standardNI) step(now int64) {
 	}
 	// Stream one flit per cycle while buffer space remains.
 	ip := ni.r.in[ni.port]
-	vb := ip.vcs[ni.curVC]
+	vb := &ip.vcs[ni.curVC]
 	if vb.free() > 0 && ni.sent < len(ni.flits) {
 		f := ni.flits[ni.sent]
 		f.enteredRouter = now
-		ni.r.accept(vb, f)
+		ni.r.accept(ni.port, ni.curVC, f)
 		ni.sent++
 		if ni.net.flight != nil {
 			ni.stall.clear()

@@ -8,10 +8,9 @@ import (
 // addInjectionPort appends a new injection-only input port to a router and
 // returns its index. Used for EIR input ports and MultiPort CB injection.
 func (n *Network) addInjectionPort(r *Router, sink creditSink) int {
-	ip := n.newInputPort()
-	ip.upNI = sink
-	r.in = append(r.in, ip)
-	return len(r.in) - 1
+	port := n.addInputPort(r)
+	r.in[port].upNI = sink
+	return port
 }
 
 // injBuffer is one single-packet injection buffer of a multi-buffer NI,
@@ -71,11 +70,11 @@ func (b *injBuffer) stream(n *Network, now int64) {
 		b.vc = vc
 		b.pkt.InjectedAt = now
 	}
-	vb := ip.vcs[b.vc]
+	vb := &ip.vcs[b.vc]
 	if vb.free() > 0 && b.sent < len(b.flits) {
 		f := b.flits[b.sent]
 		f.enteredRouter = now
-		b.r.accept(vb, f)
+		b.r.accept(b.port, b.vc, f)
 		b.sent++
 		if n.flight != nil {
 			b.stall.clear()
@@ -222,15 +221,19 @@ func (ni *equiNoxNI) selectBuffer(dst geom.Point) *injBuffer {
 		}
 		return nil
 	}
-	// Quadrant destination: up to two shortest-path EIRs.
-	var avail []*injBuffer
+	// Quadrant destination: up to two shortest-path EIRs. A fixed array
+	// keeps the per-dispatch choice off the heap.
+	var avail [2]*injBuffer
+	na := 0
 	if xb != nil && !xb.busy() {
-		avail = append(avail, xb)
+		avail[na] = xb
+		na++
 	}
 	if yb != nil && !yb.busy() {
-		avail = append(avail, yb)
+		avail[na] = yb
+		na++
 	}
-	switch len(avail) {
+	switch na {
 	case 2:
 		ni.rrQuadrant ^= 1
 		return avail[ni.rrQuadrant]

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"equinox/internal/geom"
@@ -47,6 +48,40 @@ func TestConfigValidate(t *testing.T) {
 	bad3.EIRGroups = map[geom.Point][]geom.Point{geom.Pt(9, 9): nil}
 	if bad3.Validate() == nil {
 		t.Error("EIR CB outside mesh accepted")
+	}
+}
+
+// TestNewRejectsMaskOverflow pins that New refuses a router whose input VCs
+// (or output ports) outnumber the bits of the allocator masks, rather than
+// letting the bits wrap, and accepts the widest layout that still fits.
+func TestNewRejectsMaskOverflow(t *testing.T) {
+	cfg := DefaultConfig("t", 4, 4)
+	cfg.VCsPerPort = 13 // 5 mesh ports × 13 VCs = 65 bits
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Errorf("65 input VCs per router: got err %v, want a mask-width error", err)
+	}
+	cfg.VCsPerPort = 12 // 60 bits fit
+	if _, err := New(cfg); err != nil {
+		t.Errorf("60 input VCs per router rejected: %v", err)
+	}
+	// MultiPort CB routers grow extra injection ports: 8 ports × 8 VCs
+	// fill the masks exactly, one more port overflows them.
+	mp := DefaultConfig("t", 4, 4)
+	mp.CBs = []geom.Point{geom.Pt(1, 1)}
+	mp.VCsPerPort, mp.InjectPortsPerCB = 8, 4
+	if _, err := New(mp); err != nil {
+		t.Errorf("8 ports × 8 VCs rejected: %v", err)
+	}
+	mp.InjectPortsPerCB = 5
+	if _, err := New(mp); err == nil || !strings.Contains(err.Error(), "router (1,1)") {
+		t.Errorf("9 ports × 8 VCs at the CB router: got err %v, want an error naming it", err)
+	}
+	// Output ports index the per-router mask of outputs with requests.
+	ej := DefaultConfig("t", 4, 4)
+	ej.CBs = []geom.Point{geom.Pt(1, 1)}
+	ej.EjectPortsPerCB = 61 // 4 mesh + 61 ejection ports = 65 outputs
+	if _, err := New(ej); err == nil || !strings.Contains(err.Error(), "65 output ports") {
+		t.Errorf("65 output ports: got err %v, want a mask-width error", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math/bits"
+
 	"equinox/internal/flight"
 	"equinox/internal/geom"
 )
@@ -21,10 +23,17 @@ const (
 
 const noAlloc = -1
 
+// maxMaskBits is the width of a router's allocation masks: every input VC
+// of a router owns one bit, so a router may hold at most this many.
+const maxMaskBits = 64
+
 // vcBuf is one virtual-channel buffer of an input port.
 type vcBuf struct {
-	q   []*Flit
-	cap int
+	q []*Flit // preallocated to cap, which bounds it (credits and NI checks)
+	// headAt is the cycle the head flit entered the router, mirrored from
+	// q[0].enteredRouter so the one-cycle pipeline check stays in the buffer.
+	headAt int64
+	cap    int
 
 	// Allocation state for the packet at the head of the buffer.
 	outPort int // allocated output port, noAlloc if none
@@ -34,21 +43,11 @@ type vcBuf struct {
 func (b *vcBuf) free() int   { return b.cap - len(b.q) }
 func (b *vcBuf) empty() bool { return len(b.q) == 0 }
 
-// pop removes and returns the head flit. The queue is compacted in place so
-// the backing array never walks forward: once a buffer has grown to its
-// steady-state occupancy, pushes stop allocating (a `q = q[1:]` pop would
-// strand capacity behind the slice base and force append to reallocate).
-func (b *vcBuf) pop() *Flit {
-	f := b.q[0]
-	copy(b.q, b.q[1:])
-	b.q = b.q[:len(b.q)-1]
-	return f
-}
-
 // inputPort is one input port with its VC buffers and the upstream entity
 // that receives our credits.
 type inputPort struct {
-	vcs []*vcBuf
+	// vcs views this port's stretch of the router's contiguous buffer array.
+	vcs []vcBuf
 
 	// Credit return path: either an upstream router output port or an NI.
 	upRouter *Router
@@ -69,7 +68,7 @@ type outputPort struct {
 
 	// Downstream VC bookkeeping (links only).
 	credits []int // free downstream buffer slots per VC
-	owner   []int // owning (inPort*maxVC+vc) per downstream VC, noAlloc if free
+	owner   []int // owning input VC (its mask index) per downstream VC, noAlloc if free
 
 	eject bool
 	rrIn  int // round-robin pointer for output arbitration
@@ -99,6 +98,18 @@ type Router struct {
 	out  []*outputPort
 	node int // node (tile) ID this router serves; -1 for pure transit routers
 
+	// vcs holds every input VC buffer, port-major: input port i's VC v is
+	// vcs[i*stride+v], and the same index is its bit in the masks below.
+	vcs    []vcBuf
+	stride int // VCs per input port
+
+	// Allocation request masks, one bit per input VC (see vcs). occ marks a
+	// non-empty buffer; allocd marks a buffer whose packet holds an output.
+	// The allocators visit only set bits instead of scanning every VC.
+	// Invariants: occ bit ⇔ len(q) > 0, allocd bit ⇔ outPort != noAlloc.
+	occ    uint64
+	allocd uint64
+
 	// dirOut maps geometric directions to output port IDs (noAlloc if the
 	// router has no neighbour in that direction).
 	dirOut [geom.NumDirections]int
@@ -115,8 +126,8 @@ type Router struct {
 	candBuf  []routeCand
 	vcOrdBuf []int
 	dirBuf   []geom.Direction
-	saReqs   []saReq
-	grant    []int32 // per-output granted saReqs index, noAlloc if none
+	saNom    []int32  // per input port: the VC index it nominated
+	saOut    []uint64 // per output port: mask of requesting input ports
 
 	// Stats: cumulative flit-cycles spent in this router and flits passed,
 	// for the Figure 4 heat maps.
@@ -143,30 +154,61 @@ func (r *Router) markActive() {
 	}
 }
 
-// accept appends a flit to an input VC buffer, maintaining the occupancy
-// counter and active-set membership. All flit arrivals (links and NIs) go
-// through here.
-func (r *Router) accept(vb *vcBuf, f *Flit) {
+// accept appends a flit to input VC (port, vc), maintaining the occupancy
+// counter, the occ mask, and active-set membership. All flit arrivals
+// (links and NIs) go through here.
+func (r *Router) accept(port, vc int, f *Flit) {
+	ix := port*r.stride + vc
+	vb := &r.vcs[ix]
+	if len(vb.q) == 0 {
+		vb.headAt = f.enteredRouter
+		r.occ |= 1 << ix
+	}
 	vb.q = append(vb.q, f)
 	r.inFlits++
 	r.markActive()
 }
 
-// Pos returns the router's tile coordinate.
-func (r *Router) Pos() geom.Point { return r.pos }
+// pop removes and returns the head flit of input VC ix, clearing its occ
+// bit when the buffer drains. The queue is compacted in place so its
+// preallocated backing array is reused forever.
+func (r *Router) pop(ix int) *Flit {
+	vb := &r.vcs[ix]
+	f := vb.q[0]
+	copy(vb.q, vb.q[1:])
+	vb.q = vb.q[:len(vb.q)-1]
+	if len(vb.q) == 0 {
+		r.occ &^= 1 << ix
+	} else {
+		vb.headAt = vb.q[0].enteredRouter
+	}
+	return f
+}
 
-// newInputPort builds an input port with the network's VC configuration.
-func (n *Network) newInputPort() *inputPort {
-	p := &inputPort{upPort: noAlloc}
-	for v := 0; v < n.Cfg.VCsPerPort; v++ {
-		p.vcs = append(p.vcs, &vcBuf{
-			cap:     n.Cfg.VCDepthFlits,
+// addInputPort appends an input port with the network's VC configuration
+// and returns its index. The router's buffer array may move, so every
+// port's view is re-sliced; ports are only added during construction.
+func (n *Network) addInputPort(r *Router) int {
+	vcs, depth := n.Cfg.VCsPerPort, n.Cfg.VCDepthFlits
+	slab := make([]*Flit, vcs*depth)
+	for v := 0; v < vcs; v++ {
+		r.vcs = append(r.vcs, vcBuf{
+			q:       slab[v*depth : v*depth : (v+1)*depth],
+			cap:     depth,
 			outPort: noAlloc,
 			outVC:   noAlloc,
 		})
 	}
-	return p
+	r.stride = vcs
+	r.in = append(r.in, &inputPort{upPort: noAlloc})
+	for i, ip := range r.in {
+		ip.vcs = r.vcs[i*vcs : (i+1)*vcs : (i+1)*vcs]
+	}
+	return len(r.in) - 1
 }
+
+// Pos returns the router's tile coordinate.
+func (r *Router) Pos() geom.Point { return r.pos }
 
 func (n *Network) newOutputPort() *outputPort {
 	p := &outputPort{}
@@ -308,74 +350,60 @@ var westOnly = []geom.Direction{geom.West}
 
 // vcAllocate performs VC allocation for head flits without an output.
 //
-// The input-port round-robin offset is derived from the cycle counter
-// instead of stored state: the legacy implementation incremented a pointer
-// once per cycle on every router, which made even a fully idle router's
-// vcAllocate call stateful. Deriving it keeps idle routers skippable by the
-// active-set scheduler while producing bit-identical arbitration.
+// Requests are the bits of occ &^ allocd, visited port-major, VC-minor from
+// input port now % ports with wraparound: rotating the mask right by that
+// port's first bit puts exactly this order into ascending bit order. The
+// round-robin offset is derived from the cycle counter instead of stored
+// state, which keeps idle routers skippable by the active-set scheduler.
 func (r *Router) vcAllocate(now int64, sh *shardState) {
-	nin := len(r.in)
-	rrInPort := int(now % int64(nin))
-	for k := 0; k < nin; k++ {
-		ipIx := (rrInPort + k) % nin
-		ip := r.in[ipIx]
-		for vcIx, vb := range ip.vcs {
-			if vb.outPort != noAlloc || vb.empty() {
+	n := r.net
+	start := int(now%int64(len(r.in))) * r.stride
+	for m := bits.RotateLeft64(r.occ&^r.allocd, -start); m != 0; m &= m - 1 {
+		ix := (bits.TrailingZeros64(m) + start) & (maxMaskBits - 1)
+		vb := &r.vcs[ix]
+		head := vb.q[0]
+		if !head.IsHead {
+			continue // mid-packet without allocation cannot happen, but be safe
+		}
+		for _, c := range r.routeCandidates(head) {
+			if c.port == noAlloc {
 				continue
 			}
-			head := vb.q[0]
-			if !head.IsHead {
-				continue // mid-packet without allocation cannot happen, but be safe
-			}
-			for _, c := range r.routeCandidates(head) {
-				if c.port == noAlloc {
-					continue
-				}
-				op := r.out[c.port]
-				if op.eject {
-					vb.outPort, vb.outVC = c.port, 0
-					break
-				}
-				if op.owner[c.vc] != noAlloc {
-					continue
-				}
-				// VC monopolization safety: borrowing the other class's VC
-				// is only allowed when its downstream buffer is completely
-				// empty. A borrowed reply must never queue behind a blocked
-				// request (or vice versa), or the M2F2M protocol loop —
-				// requests waiting on the CB, the CB waiting on reply
-				// injection, replies waiting behind requests — deadlocks.
-				if r.net.Cfg.VCPolicy == VCMonopolize &&
-					c.vc != int(ClassOf(head.Pkt.Type)) &&
-					op.credits[c.vc] < r.net.Cfg.VCDepthFlits {
-					continue
-				}
-				// Deadlock freedom: both routing modes (XY and west-first
-				// adaptive) have acyclic channel dependence graphs, so
-				// owner-free acquisition with ordinary wormhole flow control
-				// suffices.
-				op.owner[c.vc] = r.net.allocKey(ipIx, vcIx)
-				vb.outPort, vb.outVC = c.port, c.vc
+			op := r.out[c.port]
+			if op.eject {
+				vb.outPort, vb.outVC = c.port, 0
 				break
 			}
-			if r.net.flight != nil && vb.outPort != noAlloc {
-				r.net.flightRecordSh(sh, now, head.Pkt, flight.VCAlloc, r.id, int32(vb.outPort), int32(vb.outVC))
+			if op.owner[c.vc] != noAlloc {
+				continue
 			}
+			// VC monopolization safety: borrowing the other class's VC
+			// is only allowed when its downstream buffer is completely
+			// empty. A borrowed reply must never queue behind a blocked
+			// request (or vice versa), or the M2F2M protocol loop —
+			// requests waiting on the CB, the CB waiting on reply
+			// injection, replies waiting behind requests — deadlocks.
+			if n.Cfg.VCPolicy == VCMonopolize &&
+				c.vc != int(ClassOf(head.Pkt.Type)) &&
+				op.credits[c.vc] < n.Cfg.VCDepthFlits {
+				continue
+			}
+			// Deadlock freedom: both routing modes (XY and west-first
+			// adaptive) have acyclic channel dependence graphs, so
+			// owner-free acquisition with ordinary wormhole flow control
+			// suffices. The owner token is the buffer's mask index.
+			op.owner[c.vc] = ix
+			vb.outPort, vb.outVC = c.port, c.vc
+			break
+		}
+		if vb.outPort == noAlloc {
+			continue
+		}
+		r.allocd |= 1 << ix
+		if n.flight != nil {
+			n.flightRecordSh(sh, now, head.Pkt, flight.VCAlloc, r.id, int32(vb.outPort), int32(vb.outVC))
 		}
 	}
-}
-
-// allocKey packs an (input port, VC) pair into a unique owner token. The
-// stride is the network's actual per-port VC count (set at construction), so
-// the packing cannot silently collide for any validated configuration.
-func (n *Network) allocKey(inPort, vc int) int { return inPort*n.allocStride + vc }
-
-// saReq is one input port's switch-allocation nomination.
-type saReq struct {
-	ip   *inputPort
-	ipIx int
-	vb   *vcBuf
-	vcIx int
 }
 
 // switchAllocate runs separable input-first switch allocation and traverses
@@ -386,78 +414,70 @@ type saReq struct {
 // the phase barrier (everything else the phase touches is router-local).
 func (r *Router) switchAllocate(now int64, sh *shardState) int {
 	n := r.net
-	// Input stage: each input port nominates one VC.
-	reqs := r.saReqs[:0]
-	for i, ip := range r.in {
-		nvc := len(ip.vcs)
-		for k := 0; k < nvc; k++ {
-			vi := (ip.rrVC + k) % nvc
-			vb := ip.vcs[vi]
-			if vb.empty() || vb.outPort == noAlloc {
-				continue
+	stride := r.stride
+	vcMask := uint64(1)<<stride - 1
+	// Input stage: each input port with an allocated, non-empty VC nominates
+	// one, scanning its VCs round-robin from rrVC; the nomination lands in
+	// its output's mask of requesting input ports.
+	var outs uint64 // outputs with at least one request
+	for m := r.occ & r.allocd; m != 0; {
+		i := bits.TrailingZeros64(m) / stride
+		base := i * stride
+		vcs := m >> base & vcMask
+		m &^= vcMask << base
+		ip := r.in[i]
+		rr := ip.rrVC
+		for rot := (vcs>>rr | vcs<<(stride-rr)) & vcMask; rot != 0; rot &= rot - 1 {
+			vi := bits.TrailingZeros64(rot) + rr
+			if vi >= stride {
+				vi -= stride
 			}
-			f := vb.q[0]
-			if f.enteredRouter >= now {
+			vb := &r.vcs[base+vi]
+			if vb.headAt >= now {
 				continue // one-cycle router pipeline
 			}
 			op := r.out[vb.outPort]
 			if op.eject {
-				if !n.ejectReady(r.node, ClassOf(f.Pkt.Type)) {
+				if !n.ejectReady(r.node, ClassOf(vb.q[0].Pkt.Type)) {
 					continue
 				}
 			} else if op.credits[vb.outVC] <= 0 {
 				continue
 			}
-			reqs = append(reqs, saReq{ip, i, vb, vi})
-			ip.rrVC = (vi + 1) % nvc
+			r.saNom[i] = int32(vi)
+			r.saOut[vb.outPort] |= 1 << i
+			outs |= 1 << vb.outPort
+			if vi++; vi == stride {
+				vi = 0
+			}
+			ip.rrVC = vi
 			break
 		}
 	}
-	r.saReqs = reqs
-	// Output stage: one grant per output port, round-robin over inputs.
-	grant := r.grant
-	if len(grant) != len(r.out) {
-		// Ports were added after construction (tests wiring topologies by
-		// hand); resize once and reuse thereafter.
-		grant = make([]int32, len(r.out))
-		r.grant = grant
-	}
-	for pi := range grant {
-		grant[pi] = noAlloc
-	}
-	for pi := range r.out {
-		op := r.out[pi]
-		// Round-robin among the input ports requesting this output; scanning
-		// the nomination list in order matches the old want-list selection.
-		best, bestScore := noAlloc, 0
-		for qi := range reqs {
-			if reqs[qi].vb.outPort != pi {
-				continue
-			}
-			s := ((reqs[qi].ipIx - op.rrIn) + len(r.in)) % len(r.in)
-			if best == noAlloc || s < bestScore {
-				best, bestScore = qi, s
-			}
-		}
-		if best == noAlloc {
-			continue
-		}
-		// Input-first allocation nominates at most one VC per input port, so
-		// granting per-output cannot double-grant an input.
-		grant[pi] = int32(best)
-		op.rrIn = (reqs[best].ipIx + 1) % len(r.in)
-	}
-	// Switch traversal (fixed port order for determinism).
+	// Output stage and switch traversal, in ascending output order for
+	// determinism. Each output grants the first requesting input port at or
+	// after rrIn, cyclically. Input-first allocation nominates at most one
+	// VC per input port, so granting per output cannot double-grant an
+	// input, and a traversal never changes another output's request.
+	nin := len(r.in)
 	moved := 0
-	for pi := range r.out {
-		if grant[pi] == noAlloc {
-			continue
-		}
-		q := &reqs[grant[pi]]
+	for ; outs != 0; outs &= outs - 1 {
+		pi := bits.TrailingZeros64(outs)
 		op := r.out[pi]
-		f := q.vb.pop()
+		reqs := r.saOut[pi]
+		r.saOut[pi] = 0
+		i := (bits.TrailingZeros64(bits.RotateLeft64(reqs, -op.rrIn)) + op.rrIn) & (maxMaskBits - 1)
+		if op.rrIn = i + 1; op.rrIn == nin {
+			op.rrIn = 0
+		}
+		ip := r.in[i]
+		vcIx := int(r.saNom[i])
+		ix := i*stride + vcIx
+		vb := &r.vcs[ix]
+		outVC := vb.outVC
+		f := r.pop(ix)
 		if n.flight != nil && f.IsHead {
-			n.flightRecordSh(sh, now, f.Pkt, flight.SAGrant, r.id, int32(pi), int32(q.vb.outVC))
+			n.flightRecordSh(sh, now, f.Pkt, flight.SAGrant, r.id, int32(pi), int32(outVC))
 		}
 		r.inFlits--
 		moved++
@@ -470,15 +490,15 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 		if sh != nil {
 			st = &sh.stats
 		}
-		if q.ip.upRouter != nil {
-			up := q.ip.upRouter.out[q.ip.upPort]
+		if ip.upRouter != nil {
+			up := ip.upRouter.out[ip.upPort]
 			if sh != nil {
-				sh.credits = append(sh.credits, stagedCredit{op: up, vc: int32(q.vcIx)})
+				sh.credits = append(sh.credits, stagedCredit{op: up, vc: int32(vcIx)})
 			} else {
-				n.credits = append(n.credits, stagedCredit{op: up, vc: int32(q.vcIx)})
+				n.credits = append(n.credits, stagedCredit{op: up, vc: int32(vcIx)})
 			}
-		} else if q.ip.upNI != nil {
-			q.ip.upNI.credit(q.vcIx)
+		} else if ip.upNI != nil {
+			ip.upNI.credit(vcIx)
 		}
 		st.FlitHops++
 		tail := f.IsTail
@@ -487,19 +507,20 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 			n.ejectFlit(r.node, f, now, sh) // recycles f; do not touch it after
 		} else {
 			st.LinkFlits++
-			op.credits[q.vb.outVC]--
+			op.credits[outVC]--
 			op.link.inFlight = append(op.link.inFlight, flitInFlight{
 				f:   f,
-				vc:  q.vb.outVC,
+				vc:  outVC,
 				due: now + op.link.latency,
 			})
 			r.linkFlits++
 		}
 		if tail {
 			if !op.eject {
-				op.owner[q.vb.outVC] = noAlloc
+				op.owner[outVC] = noAlloc
 			}
-			q.vb.outPort, q.vb.outVC = noAlloc, noAlloc
+			vb.outPort, vb.outVC = noAlloc, noAlloc
+			r.allocd &^= 1 << ix
 		}
 	}
 	return moved
@@ -527,7 +548,7 @@ func (r *Router) deliverArrivals(now int64, sh *shardState) {
 						to: lnk.to, port: int32(lnk.toPort), vc: int32(ff.vc), f: ff.f,
 					})
 				} else {
-					lnk.to.accept(lnk.to.in[lnk.toPort].vcs[ff.vc], ff.f)
+					lnk.to.accept(lnk.toPort, ff.vc, ff.f)
 				}
 				r.linkFlits--
 			} else {

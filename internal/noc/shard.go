@@ -285,7 +285,7 @@ func (n *Network) stepSharded() {
 		for _, sh := range n.shards {
 			n.flushFlightOps(sh)
 			for _, a := range sh.arrivals {
-				a.to.accept(a.to.in[a.port].vcs[a.vc], a.f)
+				a.to.accept(int(a.port), int(a.vc), a.f)
 			}
 			sh.arrivals = sh.arrivals[:0]
 		}

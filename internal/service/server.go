@@ -311,6 +311,11 @@ func (s *Server) captureSpans(j *job, status JobState, elapsed time.Duration) bo
 	j.span.End()
 	j.span = nil
 	if !s.keepTrace(j.id, elapsed) {
+		// Finished jobs stay in the table until their result leaves the
+		// cache; a dropped trace's spans must not stay with them.
+		s.mu.Lock()
+		j.tr = nil
+		s.mu.Unlock()
 		return false
 	}
 	var buf bytes.Buffer

@@ -176,7 +176,7 @@ func countMeta(env spanEnvelope) int {
 // TestSpansEndpointStatusCodes covers the /spans error surface: unknown
 // jobs 404, unfinished jobs 409, and tail-sampled-out jobs 404.
 func TestSpansEndpointStatusCodes(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		Workers: 1,
 		// Every test job is far faster than an hour, so tail sampling with
 		// no fast-lane sample rate drops every trace.
@@ -204,6 +204,13 @@ func TestSpansEndpointStatusCodes(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("tail-sampled-out spans: %d, want 404", resp.StatusCode)
 	}
+	// The finished job stays in the table while its result is cached; the
+	// dropped trace's spans must not stay with it.
+	waitFor(t, "dropped trace released", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.jobs[sub.ID].tr == nil
+	})
 }
 
 // TestMetricsExpositionLiveFull round-trips the full live /v1/metrics

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test perfbench-test race race-parallel bench bench-all eval serve fleet-smoke chaos-smoke saturation-sweep heatmap design cover clean
+.PHONY: all build vet test perfbench-test race bench bench-all eval serve fleet-smoke chaos-smoke saturation-sweep heatmap design cover clean
 
 all: build vet test
 
@@ -25,14 +25,6 @@ perfbench-test:
 # Race-detector pass (the evaluation server's worker pool in particular).
 race:
 	$(GO) test -race ./...
-
-# Race-detector pass over the deterministic parallel stepper: the serial-vs-
-# sharded equivalence tests, the worker-pool primitive, and the parallel
-# allocation pin, all with the detector watching the shard barriers.
-race-parallel:
-	$(GO) test -race -count=1 \
-		-run 'TestParallel|TestSharded|TestBarrier|TestRunExecutes|TestNested' \
-		./internal/sim ./internal/noc ./internal/par
 
 # Simulator-throughput regression record: per-scheme cycles/sec, ns/op, and
 # allocs/op written to BENCH_<date>.json (compare against a previous file

@@ -40,16 +40,11 @@ type schemeResult struct {
 type report struct {
 	Date      string `json:"date"`
 	GoVersion string `json:"go_version"`
-	// CPUs records the measuring machine's core count — the context needed
-	// to read the "<scheme>@parN" sub-records (on one core the parallel
-	// stepper degrades to an inline loop, so @parN ≈ serial by design).
+	// CPUs records the measuring machine's core count.
 	CPUs              int    `json:"cpus,omitempty"`
 	Workload          string `json:"workload"`
 	InstructionsPerPE int    `json:"instructions_per_pe"`
 	ProbeEvery        int64  `json:"probe_every,omitempty"`
-	// Parallel is the shard parallelism of the "<scheme>@parN" sub-records
-	// (0 = the record is serial-only).
-	Parallel int `json:"parallel,omitempty"`
 	// Telemetry marks records that include "<scheme>+telemetry" sub-records
 	// measured with the windowed time-series attached.
 	Telemetry bool           `json:"telemetry,omitempty"`
@@ -67,8 +62,6 @@ func main() {
 	baseline := flag.String("baseline", "", "previous BENCH_*.json to embed for comparison")
 	probeEvery := flag.Int64("probe-every", 0,
 		"attach occupancy probes sampling every N cycles (0 = no probes), to measure their overhead")
-	parallel := flag.Int("parallel", 0,
-		"also measure each scheme with the deterministic parallel stepper at N shards, recorded as \"<scheme>@parN\" sub-records")
 	withTelemetry := flag.Bool("telemetry", false,
 		"also measure each scheme with windowed telemetry attached, recorded as \"<scheme>+telemetry\" sub-records, to measure its overhead")
 	compare := flag.String("compare", "",
@@ -92,7 +85,6 @@ func main() {
 		Workload:          *workload,
 		InstructionsPerPE: *instr,
 		ProbeEvery:        *probeEvery,
-		Parallel:          *parallel,
 		Telemetry:         *withTelemetry,
 	}
 	for _, scheme := range sim.AllSchemes() {
@@ -116,19 +108,6 @@ func main() {
 		rep.Schemes = append(rep.Schemes, sr)
 		fmt.Printf("%-18s %12d ns/op %10.0f cycles/sec %8d allocs/op\n",
 			sr.Scheme, sr.NsPerOp, sr.CyclesPerSec, sr.AllocsPerOp)
-
-		if *parallel > 1 {
-			pcfg := cfg
-			pcfg.Parallel = *parallel
-			pr := measure(fmt.Sprintf("%s@par%d", scheme, *parallel), pcfg, prof, *probeEvery, false)
-			rep.Schemes = append(rep.Schemes, pr)
-			speedup := 0.0
-			if sr.CyclesPerSec > 0 {
-				speedup = pr.CyclesPerSec / sr.CyclesPerSec
-			}
-			fmt.Printf("%-18s %12d ns/op %10.0f cycles/sec %8d allocs/op  %.2fx vs serial\n",
-				pr.Scheme, pr.NsPerOp, pr.CyclesPerSec, pr.AllocsPerOp, speedup)
-		}
 
 		if *withTelemetry {
 			tr := measure(scheme.String()+"+telemetry", cfg, prof, *probeEvery, true)

@@ -58,7 +58,6 @@ func main() {
 		addr    = flag.String("addr", ":8080", "listen address")
 		workers = flag.Int("workers", 0, "concurrent local evaluations (0 = default)")
 		jobPar  = flag.Int("job-parallelism", 0, "per-evaluation simulation parallelism (0 = auto)")
-		simPar  = flag.Int("parallel", 0, "default per-simulation shard parallelism for jobs that don't set \"parallel\" (0 = serial stepper)")
 		cache   = flag.Int("cache", 0, "in-memory result cache entries (0 = default)")
 		cacheBy = flag.Int64("cache-bytes", 0, "in-memory result cache byte bound (0 = entries only)")
 		stDir   = flag.String("store-dir", "", "persistent result store directory (empty = memory only)")
@@ -112,7 +111,6 @@ func main() {
 	svc := service.New(service.Config{
 		Workers:        *workers,
 		JobParallelism: *jobPar,
-		SimParallel:    *simPar,
 		CacheEntries:   *cache,
 		CacheBytes:     *cacheBy,
 		QueueDepth:     *queue,

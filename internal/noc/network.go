@@ -6,7 +6,6 @@ import (
 
 	"equinox/internal/flight"
 	"equinox/internal/geom"
-	"equinox/internal/par"
 )
 
 // Network is one physical mesh network instance with its routers, links,
@@ -48,22 +47,11 @@ type Network struct {
 	flitPool []*Flit
 
 	// credits stages phase-4 upstream credit returns for an end-of-phase
-	// apply. Deferral makes credit visibility independent of the order
-	// routers are scanned in, which is what lets the sharded stepper
-	// reproduce the serial results bit-for-bit (see shard.go).
+	// apply, so credit visibility does not depend on the order routers are
+	// scanned in. Every committed golden was produced with this deferral;
+	// returning credits inline would let a later router see a credit freed
+	// earlier in the same cycle and change the results.
 	credits []stagedCredit
-
-	// Sharded-stepper state; empty/nil when Cfg.Shards <= 1.
-	shards   []*shardState
-	shardOf  []int32 // router ID → shard index
-	group    *par.Group
-	phaseFn  func(int) // bound runShardPhase, built once to avoid per-cycle closures
-	curPhase int
-
-	// barrierWaitNS accumulates the sampled per-phase barrier waits (one
-	// sample every barrierSampleEvery sharded cycles); BarrierWaitNS exposes
-	// it for per-run span attribution.
-	barrierWaitNS [numPhases]int64
 
 	// classVCList is the precomputed per-class downstream-VC preference
 	// order (see initClassVCs).
@@ -221,9 +209,6 @@ func New(cfg Config) (*Network, error) {
 		r.dirBuf = make([]geom.Direction, 0, 2)
 	}
 	n.niQueued = make([]bool, len(n.nis))
-	if cfg.Shards > 1 {
-		n.initShards()
-	}
 	return n, nil
 }
 
@@ -256,15 +241,6 @@ func mergeSorted(active, newly, buf []int32) (merged, spare []int32) {
 }
 
 func (n *Network) mergeActive() {
-	// Sharded networks collect activations per shard (markActive must not
-	// append to a shared list from concurrent phase workers); gather them
-	// here. mergeSorted sorts, so concatenation order is irrelevant.
-	for _, sh := range n.shards {
-		if len(sh.newly) > 0 {
-			n.newly = append(n.newly, sh.newly...)
-			sh.newly = sh.newly[:0]
-		}
-	}
 	if len(n.newly) == 0 {
 		return
 	}
@@ -349,55 +325,34 @@ func (n *Network) ejectReady(node int, c Class) bool {
 }
 
 // ejectFlit consumes a flit at the ejection port; on the tail flit the
-// packet is delivered. When called from a shard worker (sh non-nil), every
-// effect that leaves the ejecting router — flight events, OnDeliver, flit
-// recycling, stats — is staged for the phase barrier; the ejection queue
-// itself is per node and thus shard-local.
-func (n *Network) ejectFlit(node int, f *Flit, now int64, sh *shardState) {
+// packet is delivered.
+func (n *Network) ejectFlit(node int, f *Flit, now int64) {
 	if f.IsTail {
 		f.Pkt.DeliveredAt = now
 		c := ClassOf(f.Pkt.Type)
 		n.ejectQ[c][node] = append(n.ejectQ[c][node], f.Pkt)
-		if sh != nil {
-			sh.delivered++
-			sh.stats.packetDelivered(f.Pkt, n.Cfg)
-		} else {
-			n.delivered++
-			n.Stats.packetDelivered(f.Pkt, n.Cfg)
-		}
+		n.delivered++
+		n.Stats.packetDelivered(f.Pkt, n.Cfg)
 		if fr := n.flight; fr != nil {
 			lat := now - f.Pkt.CreatedAt
 			sampled := fr.Hit(f.Pkt.ID)
-			ev := flight.Event{
-				Cycle: now, Pkt: f.Pkt.ID, Kind: flight.Ejected,
-				Type: uint8(f.Pkt.Type), Src: int32(f.Pkt.Src), Dst: int32(f.Pkt.Dst),
-				Router: int32(node), A: int32(lat),
+			if sampled {
+				fr.Record(flight.Event{
+					Cycle: now, Pkt: f.Pkt.ID, Kind: flight.Ejected,
+					Type: uint8(f.Pkt.Type), Src: int32(f.Pkt.Src), Dst: int32(f.Pkt.Dst),
+					Router: int32(node), A: int32(lat),
+				})
 			}
-			if sh != nil {
-				sh.fops = append(sh.fops, stagedFlightOp{ev: ev, lat: lat, eject: true, sampled: sampled})
-			} else {
-				if sampled {
-					fr.Record(ev)
-				}
-				// Every ejection (sampled or not) feeds the watchdogs: the
-				// starvation detector must observe unsampled progress too.
-				fr.EjectObserved(now, f.Pkt.ID, lat, sampled)
-			}
+			// Every ejection (sampled or not) feeds the watchdogs: the
+			// starvation detector must observe unsampled progress too.
+			fr.EjectObserved(now, f.Pkt.ID, lat, sampled)
 		}
 		if n.OnDeliver != nil {
-			if sh != nil {
-				sh.delivers = append(sh.delivers, f.Pkt)
-			} else {
-				n.OnDeliver(f.Pkt)
-			}
+			n.OnDeliver(f.Pkt)
 		}
 	}
 	// The flit is dead: recycle it to the NI-side pool.
-	if sh != nil {
-		sh.frees = append(sh.frees, f)
-	} else {
-		n.flitPool = append(n.flitPool, f)
-	}
+	n.flitPool = append(n.flitPool, f)
 }
 
 // makeFlits serializes a packet into buf (reused across packets), drawing
@@ -429,21 +384,15 @@ func (n *Network) makeFlits(p *Packet, buf []*Flit) []*Flit {
 // active worklists are visited; everything else is provably a no-op this
 // cycle, so low-load sweeps stop paying for the full mesh. Worklists are
 // iterated in ascending index order, which reproduces the arbitration
-// ordering of a full scan exactly (bit-identical results). With
-// Cfg.Shards > 1 the phases run band-parallel (see shard.go) with the same
-// guarantee.
+// ordering of a full scan exactly (bit-identical results).
 func (n *Network) Step() {
-	if n.shards != nil {
-		n.stepSharded()
-		return
-	}
 	now := n.now
 	n.mergeActive()
 	// 1. Deliver link arrivals due this cycle.
 	for _, id := range n.active {
 		r := n.Routers[id]
 		if r.linkFlits > 0 {
-			r.deliverArrivals(now, nil)
+			r.deliverArrivals(now)
 		}
 	}
 	// 2. NI injection streams flits into router input buffers.
@@ -458,7 +407,7 @@ func (n *Network) Step() {
 	for _, id := range n.active {
 		r := n.Routers[id]
 		if r.inFlits > 0 {
-			r.vcAllocate(now, nil)
+			r.vcAllocate(now)
 		}
 	}
 	// 4. Switch allocation + traversal.
@@ -466,13 +415,12 @@ func (n *Network) Step() {
 	for _, id := range n.active {
 		r := n.Routers[id]
 		if r.inFlits > 0 {
-			moved += r.switchAllocate(now, nil)
+			moved += r.switchAllocate(now)
 		}
 	}
 	// Deferred credit returns become visible between cycles, never within
-	// phase 4 — the serial stepper matches the sharded one exactly.
-	applyCredits(n.credits)
-	n.credits = n.credits[:0]
+	// phase 4.
+	n.applyCredits()
 	if moved > 0 {
 		n.lastProgress = now
 	}
@@ -485,6 +433,22 @@ func (n *Network) Step() {
 	n.pruneActive()
 	n.Stats.cycles++
 	n.now++
+}
+
+// stagedCredit is a deferred phase-4 credit return. NI credit sinks are
+// no-ops in every NI implementation, so only router-side credits stage.
+type stagedCredit struct {
+	op *outputPort
+	vc int32
+}
+
+// applyCredits performs the deferred credit returns; increments commute, so
+// the apply order within the batch is irrelevant.
+func (n *Network) applyCredits() {
+	for _, c := range n.credits {
+		c.op.credits[c.vc]++
+	}
+	n.credits = n.credits[:0]
 }
 
 // pruneActive retires routers and NIs whose work drained this cycle.

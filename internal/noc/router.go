@@ -136,21 +136,11 @@ type Router struct {
 }
 
 // markActive puts the router on its network's active worklist; cheap and
-// idempotent, called whenever a flit lands in one of its input buffers. On
-// sharded networks activations collect per shard: flits only land in a
-// router from its own shard's phase worker (cross-shard deliveries are
-// staged and applied serially), so appending to the owning shard's list is
-// race-free.
+// idempotent, called whenever a flit lands in one of its input buffers.
 func (r *Router) markActive() {
 	if !r.queued {
 		r.queued = true
-		n := r.net
-		if n.shardOf != nil {
-			sh := n.shards[n.shardOf[r.id]]
-			sh.newly = append(sh.newly, int32(r.id))
-			return
-		}
-		n.newly = append(n.newly, int32(r.id))
+		r.net.newly = append(r.net.newly, int32(r.id))
 	}
 }
 
@@ -355,7 +345,7 @@ var westOnly = []geom.Direction{geom.West}
 // port's first bit puts exactly this order into ascending bit order. The
 // round-robin offset is derived from the cycle counter instead of stored
 // state, which keeps idle routers skippable by the active-set scheduler.
-func (r *Router) vcAllocate(now int64, sh *shardState) {
+func (r *Router) vcAllocate(now int64) {
 	n := r.net
 	start := int(now%int64(len(r.in))) * r.stride
 	for m := bits.RotateLeft64(r.occ&^r.allocd, -start); m != 0; m &= m - 1 {
@@ -401,7 +391,7 @@ func (r *Router) vcAllocate(now int64, sh *shardState) {
 		}
 		r.allocd |= 1 << ix
 		if n.flight != nil {
-			n.flightRecordSh(sh, now, head.Pkt, flight.VCAlloc, r.id, int32(vb.outPort), int32(vb.outVC))
+			n.flightRecord(now, head.Pkt, flight.VCAlloc, r.id, int32(vb.outPort), int32(vb.outVC))
 		}
 	}
 }
@@ -409,10 +399,7 @@ func (r *Router) vcAllocate(now int64, sh *shardState) {
 // switchAllocate runs separable input-first switch allocation and traverses
 // the granted flits. Returns the number of flits moved. All working state
 // lives in per-router scratch buffers; the steady state allocates nothing.
-// With sh non-nil the call runs on a shard worker: upstream credit returns,
-// flight events, stats, and ejection side effects stage into the shard for
-// the phase barrier (everything else the phase touches is router-local).
-func (r *Router) switchAllocate(now int64, sh *shardState) int {
+func (r *Router) switchAllocate(now int64) int {
 	n := r.net
 	stride := r.stride
 	vcMask := uint64(1)<<stride - 1
@@ -477,36 +464,27 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 		outVC := vb.outVC
 		f := r.pop(ix)
 		if n.flight != nil && f.IsHead {
-			n.flightRecordSh(sh, now, f.Pkt, flight.SAGrant, r.id, int32(pi), int32(outVC))
+			n.flightRecord(now, f.Pkt, flight.SAGrant, r.id, int32(pi), int32(outVC))
 		}
 		r.inFlits--
 		moved++
 		r.occupancyCycles += now - f.enteredRouter
 		r.flitsThrough++
-		// Return a credit upstream — deferred to the end of phase 4 (both
-		// paths), so no router can observe a credit freed earlier in the same
-		// phase. NI credit sinks are no-ops and stay inline.
-		st := &n.Stats
-		if sh != nil {
-			st = &sh.stats
-		}
+		// Return a credit upstream — deferred to the end of phase 4, so no
+		// router can observe a credit freed earlier in the same phase (see
+		// Network.credits). NI credit sinks are no-ops and stay inline.
 		if ip.upRouter != nil {
-			up := ip.upRouter.out[ip.upPort]
-			if sh != nil {
-				sh.credits = append(sh.credits, stagedCredit{op: up, vc: int32(vcIx)})
-			} else {
-				n.credits = append(n.credits, stagedCredit{op: up, vc: int32(vcIx)})
-			}
+			n.credits = append(n.credits, stagedCredit{op: ip.upRouter.out[ip.upPort], vc: int32(vcIx)})
 		} else if ip.upNI != nil {
 			ip.upNI.credit(vcIx)
 		}
-		st.FlitHops++
+		n.Stats.FlitHops++
 		tail := f.IsTail
 		if op.eject {
-			st.EjectFlits++
-			n.ejectFlit(r.node, f, now, sh) // recycles f; do not touch it after
+			n.Stats.EjectFlits++
+			n.ejectFlit(r.node, f, now) // recycles f; do not touch it after
 		} else {
-			st.LinkFlits++
+			n.Stats.LinkFlits++
 			op.credits[outVC]--
 			op.link.inFlight = append(op.link.inFlight, flitInFlight{
 				f:   f,
@@ -527,10 +505,7 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 }
 
 // deliverArrivals moves due in-flight flits into downstream input buffers.
-// On a shard worker (sh non-nil), deliveries whose target router lies
-// outside the shard are staged and applied at the barrier; each input VC has
-// a single upstream link, so per-buffer FIFO order survives the detour.
-func (r *Router) deliverArrivals(now int64, sh *shardState) {
+func (r *Router) deliverArrivals(now int64) {
 	for _, op := range r.out {
 		if op.link == nil || len(op.link.inFlight) == 0 {
 			continue
@@ -541,15 +516,9 @@ func (r *Router) deliverArrivals(now int64, sh *shardState) {
 			if ff.due <= now {
 				ff.f.enteredRouter = now
 				if r.net.flight != nil && ff.f.IsHead {
-					r.net.flightRecordSh(sh, now, ff.f.Pkt, flight.LinkTraverse, lnk.to.id, int32(lnk.toPort), int32(ff.vc))
+					r.net.flightRecord(now, ff.f.Pkt, flight.LinkTraverse, lnk.to.id, int32(lnk.toPort), int32(ff.vc))
 				}
-				if sh != nil && (int32(lnk.to.id) < sh.lo || int32(lnk.to.id) >= sh.hi) {
-					sh.arrivals = append(sh.arrivals, stagedArrival{
-						to: lnk.to, port: int32(lnk.toPort), vc: int32(ff.vc), f: ff.f,
-					})
-				} else {
-					lnk.to.accept(lnk.toPort, ff.vc, ff.f)
-				}
+				lnk.to.accept(lnk.toPort, ff.vc, ff.f)
 				r.linkFlits--
 			} else {
 				lnk.inFlight[w] = ff

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// Phase is the aggregated wall-time of one named pipeline phase. Parallel
-// spans of the same name accumulate: Count is the number of spans and NS
-// their summed durations (so NS can exceed elapsed wall-clock under
-// parallelism).
+// Phase is the aggregated wall-time of one named pipeline phase. Spans of
+// the same name accumulate: Count is the number of spans and NS their summed
+// durations, so NS can exceed elapsed wall-clock when the evaluation pool
+// runs several simulations at once.
 type Phase struct {
 	Name  string  `json:"name"`
 	Count int64   `json:"count"`

@@ -484,44 +484,40 @@ func TestPriorityExcludedFromKey(t *testing.T) {
 	}
 }
 
-// TestParallelExcludedFromKey: the parallel stepper is bit-identical to the
-// serial one, so the same sweep at any shard parallelism is one job (one
-// content key) — but the setting survives canonicalization so workers can
-// honor it, and a negative value is rejected.
+// TestParallelExcludedFromKey: "parallel" is an accepted no-op kept for old
+// clients and journals. Over HTTP the same sweep with and without it is one
+// job (one ID), and a negative value is still rejected with a 400.
 func TestParallelExcludedFromKey(t *testing.T) {
-	a := smallSpec()
-	a.Parallel = 4
-	ka, err := a.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := smallSpec().Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ka != kb {
-		t.Fatalf("parallel changed the content key: %s vs %s", ka, kb)
-	}
-	canon, err := a.Canonicalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canon.Parallel != 4 {
-		t.Errorf("canonicalization dropped Parallel: %d", canon.Parallel)
-	}
-	units, err := unitsFor("job", canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range units {
-		if !strings.Contains(string(u.Spec), `"parallel":4`) {
-			t.Errorf("unit spec lost the parallel setting: %s", u.Spec)
+	_, ts := newTestServer(t, Config{Workers: 1})
+	post := func(body string) (SubmitResponse, int) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		var out SubmitResponse
+		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out, resp.StatusCode
 	}
-	bad := smallSpec()
-	bad.Parallel = -1
-	if _, err := bad.Canonicalize(); err == nil {
-		t.Fatal("negative parallel accepted")
+	const sweep = `"width":4,"height":4,"numCBs":2,"schemes":["SingleBase"],"benchmarks":["kmeans"],"instructionsPerPE":100`
+	withPar, code := post(`{` + sweep + `,"parallel":4}`)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("submit with parallel: %d", code)
+	}
+	plain, code := post(`{` + sweep + `}`)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("submit without parallel: %d", code)
+	}
+	if withPar.ID != plain.ID {
+		t.Fatalf("parallel changed the job ID: %s vs %s", withPar.ID, plain.ID)
+	}
+	if _, code := post(`{` + sweep + `,"parallel":-1}`); code != http.StatusBadRequest {
+		t.Errorf("negative parallel over HTTP: %d, want 400", code)
 	}
 }
 

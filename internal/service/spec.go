@@ -8,13 +8,21 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 
 	"equinox"
 	"equinox/internal/fleet"
 	"equinox/internal/sim"
 )
+
+// maxMeshSide bounds Width and Height of a submitted job: the server builds
+// one router per tile, so an unbounded side lets one request allocate an
+// arbitrarily large mesh. 32×32 is the largest mesh the planned
+// scalability sweeps target.
+const maxMeshSide = 32
 
 // JobSpec is the wire form of one evaluation job. The zero value of every
 // field means "the paper's default" (8×8 mesh, 8 CBs, all seven schemes,
@@ -51,12 +59,9 @@ type JobSpec struct {
 	// carry, telemetry regardless of this flag).
 	Telemetry bool `json:"telemetry,omitempty"`
 
-	// Parallel enables the deterministic parallel stepper inside each
-	// simulation when > 1 (equinox.EvalConfig.Parallel): networks step
-	// concurrently and core-domain meshes shard row-wise, with results
-	// bit-identical to a serial run. Like Priority it is execution advice,
-	// not job identity — it is excluded from the content key, so a sweep
-	// run parallel and the same sweep run serial share one cached result.
+	// Parallel is accepted and ignored, so old clients and journals that
+	// still send it keep parsing under the server's strict decode.
+	// Canonicalize rejects negative values and then zeroes it.
 	Parallel int `json:"parallel,omitempty"`
 
 	// Priority selects the scheduling class: "interactive" for jobs a
@@ -66,6 +71,18 @@ type JobSpec struct {
 	// job identity: it is excluded from the content key, and the same
 	// sweep at any priority shares one result.
 	Priority string `json:"priority,omitempty"`
+}
+
+// decodeSpec reads one submitted spec strictly: an unknown field is an
+// error, so a misspelled option is reported instead of silently defaulted.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, err
+	}
+	return spec, nil
 }
 
 // Canonicalize returns the spec with defaults made explicit and list fields
@@ -83,6 +100,9 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 	}
 	if c.NumCBs == 0 {
 		c.NumCBs = 8
+	}
+	if c.Width > maxMeshSide || c.Height > maxMeshSide {
+		return JobSpec{}, fmt.Errorf("service: mesh %dx%d exceeds the %dx%d maximum", c.Width, c.Height, maxMeshSide, maxMeshSide)
 	}
 
 	if len(c.Schemes) == 0 {
@@ -136,6 +156,7 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 	if c.Parallel < 0 {
 		return JobSpec{}, fmt.Errorf("service: negative parallel %d", c.Parallel)
 	}
+	c.Parallel = 0
 
 	cfg, err := c.evalConfig()
 	if err != nil {
@@ -180,7 +201,6 @@ func (s JobSpec) evalConfig() (equinox.EvalConfig, error) {
 		Benchmarks:        s.Benchmarks,
 		InstructionsPerPE: s.InstructionsPerPE,
 		Seed:              s.Seed,
-		Parallel:          s.Parallel,
 	}
 	for _, name := range s.Schemes {
 		k, err := equinox.ParseScheme(name)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -100,6 +101,10 @@ func TestSpecValidation(t *testing.T) {
 		{"too many CBs", JobSpec{Width: 4, Height: 4, NumCBs: 16}, "leave no PEs"},
 		{"tiny mesh", JobSpec{Width: 1, Height: 1, NumCBs: 1}, "too small"},
 		{"negative instructions", JobSpec{InstructionsPerPE: -1}, "InstructionsPerPE"},
+		{"negative parallel", JobSpec{Parallel: -1}, "negative parallel"},
+		{"wide mesh", JobSpec{Width: 33, Height: 8, NumCBs: 8}, "exceeds the 32x32 maximum"},
+		{"tall mesh", JobSpec{Width: 8, Height: 33, NumCBs: 8}, "exceeds the 32x32 maximum"},
+		{"huge mesh", JobSpec{Width: 100000, Height: 100000, NumCBs: 8}, "exceeds the 32x32 maximum"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,4 +115,47 @@ func TestSpecValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzJobSpecCanonicalize feeds raw JSON through the handler's strict decode
+// and Canonicalize. Every accepted spec must canonicalize idempotently, keep
+// a stable content key, and come out with Parallel cleared; nothing may
+// panic.
+func FuzzJobSpecCanonicalize(f *testing.F) {
+	f.Add(`{}`)
+	f.Add(`{"parallel":4}`)
+	f.Add(`{"parallel":-1}`)
+	f.Add(`{"width":33}`)
+	f.Add(`{"schemes":["SeparateBase","EquiNox","SeparateBase"],"benchmarks":["kmeans","bfs","kmeans"]}`)
+	f.Fuzz(func(t *testing.T, raw string) {
+		spec, err := decodeSpec(strings.NewReader(raw))
+		if err != nil {
+			return
+		}
+		canon, err := spec.Canonicalize()
+		if err != nil {
+			return
+		}
+		if canon.Parallel != 0 {
+			t.Fatalf("canonical spec kept parallel=%d", canon.Parallel)
+		}
+		again, err := canon.Canonicalize()
+		if err != nil {
+			t.Fatalf("canonical spec rejected on a second pass: %v", err)
+		}
+		if !reflect.DeepEqual(again, canon) {
+			t.Fatalf("Canonicalize is not idempotent:\n first %+v\nsecond %+v", canon, again)
+		}
+		k1, err := spec.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k2, err := canon.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k1 != k2 {
+			t.Fatalf("key changed after canonicalization: %s vs %s", k1, k2)
+		}
+	})
 }

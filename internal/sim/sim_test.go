@@ -38,6 +38,15 @@ func smallConfig(s SchemeKind, t testing.TB) Config {
 	return cfg
 }
 
+func mustProfile(t testing.TB, name string) workloads.Profile {
+	t.Helper()
+	p, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestConfigValidation(t *testing.T) {
 	cfg := DefaultConfig(SingleBase)
 	if err := cfg.Validate(); err != nil {

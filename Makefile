@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test perfbench-test race bench bench-all eval serve fleet-smoke chaos-smoke saturation-sweep heatmap design cover clean
+.PHONY: all build vet test perfbench-test race fuzz bench bench-all eval serve fleet-smoke chaos-smoke saturation-sweep heatmap design cover clean
 
 all: build vet test
 
@@ -25,6 +25,12 @@ perfbench-test:
 # Race-detector pass (the evaluation server's worker pool in particular).
 race:
 	$(GO) test -race ./...
+
+# Short fuzz pass over the job-spec trust boundary (strict decode +
+# Canonicalize). Plain `go test` runs only the seeds; a crasher found here is
+# a program bug to fix, and Go saves its input under testdata/fuzz.
+fuzz:
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzJobSpecCanonicalize$$' -fuzztime 30s
 
 # Simulator-throughput regression record: per-scheme cycles/sec, ns/op, and
 # allocs/op written to BENCH_<date>.json (compare against a previous file

@@ -141,12 +141,13 @@ func (cb *CB) maxWritebacks() int { return 64 }
 // saturated, propagating backpressure into HBM timing. Queued write-backs
 // drain into the controller as queue space allows.
 func (cb *CB) Step(now int64) {
-	// Drain write-backs (up to two per cycle, behind demand traffic).
-	for k := 0; k < 2 && len(cb.writebacks) > 0 && cb.MC.QueueSpace() > 0; k++ {
-		line := cb.writebacks[0]
-		cb.writebacks = cb.writebacks[1:]
-		cb.MC.Enqueue(&hbm.Request{Addr: line * uint64(cb.L2.LineBytes()), Write: true}, now)
+	// Drain write-backs (up to two per cycle, behind demand traffic),
+	// compacting in place so the queue's backing array is reused.
+	k := 0
+	for ; k < 2 && k < len(cb.writebacks) && cb.MC.QueueSpace() > 0; k++ {
+		cb.MC.Enqueue(&hbm.Request{Addr: cb.writebacks[k] * uint64(cb.L2.LineBytes()), Write: true}, now)
 	}
+	cb.writebacks = cb.writebacks[:copy(cb.writebacks, cb.writebacks[k:])]
 	if len(cb.pendingOut) >= cb.maxPending {
 		cb.StallOnOut++
 		return
@@ -169,7 +170,8 @@ func (cb *CB) PopReply() *Transaction {
 		return nil
 	}
 	tx := cb.pendingOut[0]
-	cb.pendingOut = cb.pendingOut[1:]
+	// Compact in place so the buffer's backing array is reused.
+	cb.pendingOut = cb.pendingOut[:copy(cb.pendingOut, cb.pendingOut[1:])]
 	return tx
 }
 

@@ -11,6 +11,7 @@ package hbm
 
 import (
 	"fmt"
+	"math"
 )
 
 // Config describes one HBM stack and its controller.
@@ -81,6 +82,10 @@ type Request struct {
 	arrived   int64
 	doneAt    int64
 	scheduled bool
+
+	// Bank and row, decoded once at Enqueue.
+	bank int
+	row  int64
 }
 
 // Arrived returns the cycle the request entered the controller.
@@ -98,13 +103,21 @@ type channel struct {
 	banks       []bank
 	busTill     int64 // data bus occupancy
 	nextRefresh int64
+	pending     []*Request // this channel's unscheduled requests, arrival order
 }
 
 // Controller is one FR-FCFS memory controller fronting one HBM stack.
 type Controller struct {
 	cfg   Config
-	queue []*Request
+	queue []*Request // every incomplete request, arrival order
 	chans []channel
+
+	// nextDone is the earliest doneAt among scheduled requests still in the
+	// queue (math.MaxInt64 when none), so Step skips the retire scan until
+	// a completion is due.
+	nextDone int64
+	// done is the completion buffer Step returns, reused across calls.
+	done []*Request
 
 	// Stats.
 	Served     int64
@@ -120,9 +133,17 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg}
+	// Every queue is sized for a full controller up front, so the steady
+	// state never grows one.
+	c := &Controller{
+		cfg:      cfg,
+		queue:    make([]*Request, 0, cfg.QueueDepth),
+		done:     make([]*Request, 0, cfg.QueueDepth),
+		nextDone: math.MaxInt64,
+	}
 	c.chans = make([]channel, cfg.Channels)
 	for i := range c.chans {
+		c.chans[i].pending = make([]*Request, 0, cfg.QueueDepth)
 		c.chans[i].banks = make([]bank, cfg.BanksPerChannel)
 		for b := range c.chans[i].banks {
 			c.chans[i].banks[b].openRow = -1
@@ -144,7 +165,10 @@ func (c *Controller) Enqueue(r *Request, now int64) bool {
 		return false
 	}
 	r.arrived = now
+	var ch int
+	ch, r.bank, r.row = c.mapAddr(r.Addr)
 	c.queue = append(c.queue, r)
+	c.chans[ch].pending = append(c.chans[ch].pending, r)
 	return true
 }
 
@@ -165,7 +189,8 @@ func (c *Controller) mapAddr(addr uint64) (ch, bk int, row int64) {
 
 // Step advances one cycle and returns the requests completing this cycle.
 // Scheduling is FR-FCFS: among schedulable requests, row hits first, then
-// arrival order.
+// arrival order. The returned slice is reused by the controller and is valid
+// only until the next Step.
 func (c *Controller) Step(now int64) []*Request {
 	// Issue: pick the best schedulable request per channel this cycle.
 	for chIx := range c.chans {
@@ -184,43 +209,35 @@ func (c *Controller) Step(now int64) []*Request {
 			}
 		}
 		bestIdx := -1
-		bestHit := false
-		for i, r := range c.queue {
-			if r.scheduled {
-				continue
-			}
-			rch, rbk, rrow := c.mapAddr(r.Addr)
-			if rch != chIx {
-				continue
-			}
-			b := &ch.banks[rbk]
+		for i, r := range ch.pending {
+			b := &ch.banks[r.bank]
 			// Issue needs a free bank; the data burst may queue behind the
 			// channel bus (bank-level parallelism hides access latency).
 			if b.busyTill > now {
 				continue
 			}
-			hit := b.openRow == rrow
-			if bestIdx == -1 || (hit && !bestHit) {
+			if b.openRow == r.row {
 				bestIdx = i
-				bestHit = hit
-				if hit {
-					break // FR: first ready row hit in arrival order wins
-				}
+				break // FR: first ready row hit in arrival order wins
+			}
+			if bestIdx == -1 {
+				bestIdx = i // FCFS: oldest ready request if no row hit
 			}
 		}
 		if bestIdx == -1 {
 			continue
 		}
-		r := c.queue[bestIdx]
-		_, rbk, rrow := c.mapAddr(r.Addr)
-		b := &ch.banks[rbk]
+		r := ch.pending[bestIdx]
+		copy(ch.pending[bestIdx:], ch.pending[bestIdx+1:])
+		ch.pending = ch.pending[:len(ch.pending)-1]
+		b := &ch.banks[r.bank]
 		lat := int64(c.cfg.TCAS)
-		if b.openRow != rrow {
+		if b.openRow != r.row {
 			if b.openRow >= 0 {
 				lat += int64(c.cfg.TRP)
 			}
 			lat += int64(c.cfg.TRCD)
-			b.openRow = rrow
+			b.openRow = r.row
 			c.RowMisses++
 		} else {
 			c.RowHits++
@@ -237,22 +254,34 @@ func (c *Controller) Step(now int64) []*Request {
 		b.busyTill = r.doneAt
 		r.scheduled = true
 		c.BusyCycles += burst
+		if r.doneAt < c.nextDone {
+			c.nextDone = r.doneAt
+		}
 	}
 
-	// Retire completed requests in queue order.
-	var done []*Request
-	w := 0
-	for _, r := range c.queue {
-		if r.scheduled && r.doneAt <= now {
-			done = append(done, r)
-			c.Served++
-			c.TotalWait += r.doneAt - r.arrived
-		} else {
+	// Retire completed requests in queue order. The caller may skip cycles,
+	// so several completions can be due at once.
+	done := c.done[:0]
+	if c.nextDone <= now {
+		next := int64(math.MaxInt64)
+		w := 0
+		for _, r := range c.queue {
+			if r.scheduled && r.doneAt <= now {
+				done = append(done, r)
+				c.Served++
+				c.TotalWait += r.doneAt - r.arrived
+				continue
+			}
+			if r.scheduled && r.doneAt < next {
+				next = r.doneAt
+			}
 			c.queue[w] = r
 			w++
 		}
+		c.queue = c.queue[:w]
+		c.nextDone = next
 	}
-	c.queue = c.queue[:w]
+	c.done = done
 	return done
 }
 

@@ -96,13 +96,9 @@ func (p *Probe) sample(n *Network) {
 	p.samples++
 	for i, r := range n.Routers {
 		p.scratch[i] = int64(r.inFlits)
-		base := i * meshLinks
-		for d := 1; d <= meshLinks; d++ {
-			op := r.out[d]
-			if op.link != nil {
-				p.linkSum[base+d-1] += int64(len(op.link.inFlight))
-			}
-		}
+	}
+	for _, a := range n.arrivals {
+		p.linkSum[int(a.from)*meshLinks+int(a.out)-1]++
 	}
 	for _, ni := range n.nis {
 		ni.backlog(p.scratch)

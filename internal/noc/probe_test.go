@@ -151,3 +151,37 @@ func TestCombineMeanOccupancyAndRatio(t *testing.T) {
 		t.Errorf("flat-zero MaxMeanRatio = %v, want 0", r)
 	}
 }
+
+// TestProbeLinkLoadConservesFlits samples every cycle of a few-to-many reply
+// run to quiescence: each link traversal is in flight at exactly one sample,
+// so the per-link sums must add up to Stats.LinkFlits.
+func TestProbeLinkLoadConservesFlits(t *testing.T) {
+	n, err := New(DefaultConfig("replies", 8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := n.AttachProbe(1)
+	srcs := []int{9, 14, 49, 54}
+	for k := 0; k < 2000; n.Step() {
+		// Packet k goes from srcs[k%4] to the k-th of the other 63 nodes;
+		// after a full source queue the rest wait for the next cycle.
+		for ; k < 2000; k++ {
+			src := srcs[k%4]
+			if !n.TryInject(&Packet{Type: ReadReply, Src: src, Dst: (src + 1 + k%63) % 64}, n.Now()) {
+				break
+			}
+		}
+		for node := 0; node < 64; node++ {
+			for n.PopDelivered(node) != nil {
+			}
+		}
+	}
+	runUntilQuiescent(t, n, 1_000_000)
+	var sampled int64
+	for _, v := range p.MeanLinkLoad() {
+		sampled += int64(math.Round(v * float64(n.Now())))
+	}
+	if sampled != n.Stats.LinkFlits || sampled == 0 {
+		t.Errorf("link samples sum to %d flits over %d cycles, Stats.LinkFlits = %d", sampled, n.Now(), n.Stats.LinkFlits)
+	}
+}

@@ -62,9 +62,12 @@ type creditSink interface {
 }
 
 // outputPort is one output port: a link to a downstream router input port,
-// or an ejection port delivering to the local node.
+// or an ejection port delivering to the local node. A link is a one-cycle
+// register: a flit that traverses it in phase 4 lands in phase 1 of the
+// next cycle (see Network.arrivals).
 type outputPort struct {
-	link *link // nil for ejection ports
+	to     *Router // downstream router; nil for ejection ports
+	toPort int     // downstream input port
 
 	// Downstream VC bookkeeping (links only).
 	credits []int // free downstream buffer slots per VC
@@ -72,21 +75,6 @@ type outputPort struct {
 
 	eject bool
 	rrIn  int // round-robin pointer for output arbitration
-}
-
-// link carries flits in flight between routers with a fixed latency.
-type link struct {
-	to      *Router
-	toPort  int
-	latency int64
-	// inFlight holds flits with their arrival cycle and target VC.
-	inFlight []flitInFlight
-}
-
-type flitInFlight struct {
-	f   *Flit
-	vc  int
-	due int64
 }
 
 // Router is one input-buffered VC router.
@@ -114,11 +102,10 @@ type Router struct {
 	// router has no neighbour in that direction).
 	dirOut [geom.NumDirections]int
 
-	// Occupancy counters for the network's active-set scheduler: the router
-	// only takes allocator/link work while either is non-zero.
-	inFlits   int  // flits buffered in this router's input VCs
-	linkFlits int  // flits in flight on this router's outgoing links
-	queued    bool // on the network's active worklist
+	// Occupancy counter for the network's active-set scheduler: the router
+	// only takes allocator work while it is non-zero.
+	inFlits int  // flits buffered in this router's input VCs
+	queued  bool // on the network's active worklist
 
 	// Per-router scratch reused across cycles so the steady-state hot path
 	// (routeCandidates, vcAllocate, switchAllocate) performs no heap
@@ -486,12 +473,9 @@ func (r *Router) switchAllocate(now int64) int {
 		} else {
 			n.Stats.LinkFlits++
 			op.credits[outVC]--
-			op.link.inFlight = append(op.link.inFlight, flitInFlight{
-				f:   f,
-				vc:  outVC,
-				due: now + op.link.latency,
+			n.arrivals = append(n.arrivals, arrival{
+				f: f, to: op.to, port: int32(op.toPort), vc: int32(outVC), from: int32(r.id), out: int32(pi),
 			})
-			r.linkFlits++
 		}
 		if tail {
 			if !op.eject {
@@ -502,31 +486,6 @@ func (r *Router) switchAllocate(now int64) int {
 		}
 	}
 	return moved
-}
-
-// deliverArrivals moves due in-flight flits into downstream input buffers.
-func (r *Router) deliverArrivals(now int64) {
-	for _, op := range r.out {
-		if op.link == nil || len(op.link.inFlight) == 0 {
-			continue
-		}
-		lnk := op.link
-		w := 0
-		for _, ff := range lnk.inFlight {
-			if ff.due <= now {
-				ff.f.enteredRouter = now
-				if r.net.flight != nil && ff.f.IsHead {
-					r.net.flightRecord(now, ff.f.Pkt, flight.LinkTraverse, lnk.to.id, int32(lnk.toPort), int32(ff.vc))
-				}
-				lnk.to.accept(lnk.toPort, ff.vc, ff.f)
-				r.linkFlits--
-			} else {
-				lnk.inFlight[w] = ff
-				w++
-			}
-		}
-		lnk.inFlight = lnk.inFlight[:w]
-	}
 }
 
 // FlitsThrough returns the number of flits that traversed this router.

@@ -47,10 +47,10 @@ func TestCreditConservation(t *testing.T) {
 	}
 	for _, r := range n.Routers {
 		for pi, op := range r.out {
-			if op.link == nil {
+			if op.to == nil {
 				continue
 			}
-			down := op.link.to.in[op.link.toPort]
+			down := op.to.in[op.toPort]
 			for vc, credits := range op.credits {
 				if free := down.vcs[vc].free(); credits != free {
 					t.Errorf("router %v out %d vc %d: credits %d != downstream free %d",
@@ -65,7 +65,7 @@ func TestCreditConservation(t *testing.T) {
 	// All VC allocations must be released.
 	for _, r := range n.Routers {
 		for _, op := range r.out {
-			if op.link == nil {
+			if op.to == nil {
 				continue
 			}
 			for vc, owner := range op.owner {

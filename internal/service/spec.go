@@ -24,6 +24,11 @@ import (
 // scalability sweeps target.
 const maxMeshSide = 32
 
+// maxInstructionsPerPE bounds InstructionsPerPE of a submitted job: a run's
+// length grows linearly with it, so an unbounded value lets one request hold
+// a worker for as long as it asks. 100000 is about 80× the 1200 default.
+const maxInstructionsPerPE = 100000
+
 // JobSpec is the wire form of one evaluation job. The zero value of every
 // field means "the paper's default" (8×8 mesh, 8 CBs, all seven schemes,
 // the full 29-benchmark suite), mirroring equinox.EvalConfig.Normalize.
@@ -103,6 +108,9 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 	}
 	if c.Width > maxMeshSide || c.Height > maxMeshSide {
 		return JobSpec{}, fmt.Errorf("service: mesh %dx%d exceeds the %dx%d maximum", c.Width, c.Height, maxMeshSide, maxMeshSide)
+	}
+	if c.InstructionsPerPE > maxInstructionsPerPE {
+		return JobSpec{}, fmt.Errorf("service: instructionsPerPE %d exceeds the %d maximum", c.InstructionsPerPE, maxInstructionsPerPE)
 	}
 
 	if len(c.Schemes) == 0 {

@@ -105,6 +105,8 @@ func TestSpecValidation(t *testing.T) {
 		{"wide mesh", JobSpec{Width: 33, Height: 8, NumCBs: 8}, "exceeds the 32x32 maximum"},
 		{"tall mesh", JobSpec{Width: 8, Height: 33, NumCBs: 8}, "exceeds the 32x32 maximum"},
 		{"huge mesh", JobSpec{Width: 100000, Height: 100000, NumCBs: 8}, "exceeds the 32x32 maximum"},
+		{"too many instructions", JobSpec{InstructionsPerPE: 100001}, "instructionsPerPE 100001 exceeds the 100000 maximum"},
+		{"huge instructions", JobSpec{InstructionsPerPE: 1 << 40}, "exceeds the 100000 maximum"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +128,7 @@ func FuzzJobSpecCanonicalize(f *testing.F) {
 	f.Add(`{"parallel":4}`)
 	f.Add(`{"parallel":-1}`)
 	f.Add(`{"width":33}`)
+	f.Add(`{"instructionsPerPE":100001}`)
 	f.Add(`{"schemes":["SeparateBase","EquiNox","SeparateBase"],"benchmarks":["kmeans","bfs","kmeans"]}`)
 	f.Fuzz(func(t *testing.T, raw string) {
 		spec, err := decodeSpec(strings.NewReader(raw))
